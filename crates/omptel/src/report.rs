@@ -98,6 +98,8 @@ pub fn render(e: &Explanation, s: &Summary) -> String {
         Counter::ReduceAtomic,
         Counter::PlanCacheHits,
         Counter::PlanCacheMisses,
+        Counter::RegionBuilds,
+        Counter::RegionReuses,
         Counter::SampleCacheHits,
         Counter::SampleCacheMisses,
         Counter::SweepSteals,

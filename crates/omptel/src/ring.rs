@@ -119,12 +119,12 @@ pub struct ThreadRing {
 
 impl ThreadRing {
     fn new(thread: usize, capacity: usize) -> ThreadRing {
+        let words = Box::<[AtomicU64]>::new_zeroed_slice(capacity * EVENT_WORDS);
         ThreadRing {
             thread,
             head: AtomicU64::new(0),
-            words: (0..capacity * EVENT_WORDS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            // SAFETY: an all-zero bit pattern is a valid `AtomicU64` (0).
+            words: unsafe { words.assume_init() },
             capacity,
         }
     }
@@ -205,32 +205,35 @@ pub fn sim_spans() -> bool {
     SIM_SPANS.load(Ordering::Relaxed)
 }
 
-/// This thread's ring for the live generation, registering on first
-/// use. Enabled-path only.
-fn my_ring() -> Arc<ThreadRing> {
+/// Run `f` on this thread's ring for the live generation, registering
+/// the ring on first use. Enabled-path only.
+fn with_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> R {
     let generation = GENERATION.load(Ordering::Acquire);
     MY_RING.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if let Some((g, ring)) = slot.as_ref() {
+        if let Some((g, ring)) = cell.borrow().as_ref() {
             if *g == generation {
-                return ring.clone();
+                return f(ring);
             }
         }
-        let mut rings = RINGS.lock().expect("omptrace ring registry poisoned");
-        let ring = Arc::new(ThreadRing::new(
-            rings.len(),
-            CAPACITY.load(Ordering::Acquire),
-        ));
-        rings.push(ring.clone());
-        *slot = Some((generation, ring.clone()));
-        ring
+        let ring = {
+            let mut rings = RINGS.lock().expect("omptrace ring registry poisoned");
+            let ring = Arc::new(ThreadRing::new(
+                rings.len(),
+                CAPACITY.load(Ordering::Acquire),
+            ));
+            rings.push(Arc::clone(&ring));
+            ring
+        };
+        let out = f(&ring);
+        *cell.borrow_mut() = Some((generation, ring));
+        out
     })
 }
 
 /// Emit one event into this thread's ring. Enabled-path only: callers
 /// gate on [`tracing`] first.
 pub(crate) fn emit(ev: TraceEvent) {
-    my_ring().push(&ev);
+    with_ring(|ring| ring.push(&ev));
 }
 
 /// This thread's most recent `n` retained events (empty when no
@@ -239,7 +242,7 @@ pub fn recent_events(n: usize) -> Vec<TraceEvent> {
     if !tracing() {
         return Vec::new();
     }
-    my_ring().recent(n)
+    with_ring(|ring| ring.recent(n))
 }
 
 /// Live `(threads, retained events, dropped events)` across every ring

@@ -85,11 +85,16 @@ pub enum Counter {
     /// Energy burned in wait states (spin/yield/park) — the sink the
     /// `KMP_BLOCKTIME`/`KMP_LIBRARY` conflict lives in, microjoules.
     EnergyWaitUj,
+    /// Simulator parallel regions planned by a plan cache's region memo.
+    RegionBuilds,
+    /// Regions a plan build took from the memo instead of planning them
+    /// (another projection had resolved to the same placement).
+    RegionReuses,
 }
 
 impl Counter {
     /// Number of counters; sizes the registry array.
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 33;
 
     /// Every counter, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -124,6 +129,8 @@ impl Counter {
         Counter::EnergySamples,
         Counter::EnergyUj,
         Counter::EnergyWaitUj,
+        Counter::RegionBuilds,
+        Counter::RegionReuses,
     ];
 
     /// Stable lower-snake name used in exports.
@@ -160,6 +167,8 @@ impl Counter {
             Counter::EnergySamples => "energy_samples",
             Counter::EnergyUj => "energy_uj",
             Counter::EnergyWaitUj => "energy_wait_uj",
+            Counter::RegionBuilds => "region_builds",
+            Counter::RegionReuses => "region_reuses",
         }
     }
 }

@@ -159,6 +159,7 @@ mod tests {
 
     #[test]
     fn energy_is_deterministic_and_closed() {
+        let _tel = crate::tel_test_lock();
         let c = TuningConfig::default_for(Arch::Skylake, 40);
         let m = model(50_000.0, 20);
         let (a, _) = priced(&c, &m);
@@ -173,6 +174,7 @@ mod tests {
 
     #[test]
     fn hard_spin_burns_more_wait_energy_than_passive() {
+        let _tel = crate::tel_test_lock();
         // Same structure, different wait policy: `turnaround` + infinite
         // blocktime spins through every wait; blocktime 0 parks. The
         // spin config must pay more wait+serial energy — the conflict
@@ -219,6 +221,7 @@ mod tests {
 
     #[test]
     fn fewer_threads_draw_less_active_power() {
+        let _tel = crate::tel_test_lock();
         let m = model(0.0, 10);
         let (e8, _) = priced(&TuningConfig::default_for(Arch::Skylake, 8), &m);
         let (e40, _) = priced(&TuningConfig::default_for(Arch::Skylake, 40), &m);

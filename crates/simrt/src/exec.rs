@@ -110,6 +110,13 @@ pub fn machine_for(arch: Arch) -> MachineDesc {
 }
 
 /// Per-thread execution environment derived from the placement.
+///
+/// Equality and hashing are exact: every field takes part, and f64s
+/// compare by bit pattern. Two configurations whose environments are
+/// equal here therefore feed `plan_loop`/`plan_tasks` identical inputs,
+/// which is what lets [`crate::plan::PlanCache`] share region plans
+/// between them.
+#[derive(Debug)]
 pub(crate) struct ThreadEnv {
     /// Slowdown from core sharing (1.0 = exclusive core).
     speed_div: Vec<f64>,
@@ -121,6 +128,35 @@ pub(crate) struct ThreadEnv {
     bound: bool,
     /// threads / cores occupancy.
     load: f64,
+}
+
+impl PartialEq for ThreadEnv {
+    fn eq(&self, other: &ThreadEnv) -> bool {
+        self.speed_div.len() == other.speed_div.len()
+            && self
+                .speed_div
+                .iter()
+                .zip(&other.speed_div)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && self.numa == other.numa
+            && self.node_threads == other.node_threads
+            && self.bound == other.bound
+            && self.load.to_bits() == other.load.to_bits()
+    }
+}
+
+impl Eq for ThreadEnv {}
+
+impl std::hash::Hash for ThreadEnv {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for x in &self.speed_div {
+            x.to_bits().hash(state);
+        }
+        self.numa.hash(state);
+        self.node_threads.hash(state);
+        self.bound.hash(state);
+        self.load.to_bits().hash(state);
+    }
 }
 
 pub(crate) fn thread_env(arch: Arch, tuning: &TuningConfig, topo: &Topology) -> ThreadEnv {
@@ -823,6 +859,7 @@ mod tests {
 
     #[test]
     fn simulation_is_deterministic() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(100_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let c = cfg(Arch::Milan, 48);
         let a = simulate(Arch::Milan, &c, &m, 7);
@@ -835,6 +872,7 @@ mod tests {
 
     #[test]
     fn extrapolated_steps_match_explicit_simulation() {
+        let _tel = crate::tel_test_lock();
         // A model with random imbalance: warm steps differ only by seed;
         // the extrapolation must equal (t1 * (n-1)) by construction, and
         // regions must count all steps.
@@ -853,6 +891,7 @@ mod tests {
 
     #[test]
     fn more_threads_is_faster_for_parallel_work() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(1_000_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let t8 = simulate(Arch::Milan, &cfg(Arch::Milan, 8), &m, 0);
         let t96 = simulate(Arch::Milan, &cfg(Arch::Milan, 96), &m, 0);
@@ -861,6 +900,7 @@ mod tests {
 
     #[test]
     fn master_binding_is_catastrophic_at_high_thread_counts() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(500_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let mut c = cfg(Arch::Milan, 96);
         c.places = OmpPlaces::Cores;
@@ -877,6 +917,7 @@ mod tests {
 
     #[test]
     fn binding_helps_streaming_workloads() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(500_000, Imbalance::Uniform, AccessPattern::Streaming);
         let unbound = simulate(Arch::Milan, &cfg(Arch::Milan, 96), &m, 0);
         let mut c = cfg(Arch::Milan, 96);
@@ -887,6 +928,7 @@ mod tests {
 
     #[test]
     fn dynamic_beats_static_on_imbalanced_loops() {
+        let _tel = crate::tel_test_lock();
         // Coarse iterations (µs-scale) so dispatch cost doesn't drown the
         // balance win — the regime where real apps profit from dynamic.
         let m = Model {
@@ -918,6 +960,7 @@ mod tests {
 
     #[test]
     fn dynamic_costs_dispatch_on_balanced_loops() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(500_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let stat = simulate(Arch::Skylake, &cfg(Arch::Skylake, 40), &m, 0);
         let mut c = cfg(Arch::Skylake, 40);
@@ -928,6 +971,7 @@ mod tests {
 
     #[test]
     fn turnaround_helps_fine_grained_tasks() {
+        let _tel = crate::tel_test_lock();
         let m = Model {
             name: "nq".into(),
             phases: vec![Phase::Tasks(TaskPhase {
@@ -950,6 +994,7 @@ mod tests {
 
     #[test]
     fn blocktime_zero_hurts_many_region_apps() {
+        let _tel = crate::tel_test_lock();
         let m = Model {
             name: "mg".into(),
             phases: vec![
@@ -975,6 +1020,7 @@ mod tests {
 
     #[test]
     fn migration_penalty_hits_milan_random_lookups_only() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(
             200_000,
             Imbalance::Uniform,
@@ -999,6 +1045,7 @@ mod tests {
 
     #[test]
     fn migration_penalty_fades_at_low_occupancy() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(
             200_000,
             Imbalance::Uniform,
@@ -1018,6 +1065,7 @@ mod tests {
 
     #[test]
     fn breakdown_sums_close_to_total() {
+        let _tel = crate::tel_test_lock();
         let m = loop_model(100_000, Imbalance::Uniform, AccessPattern::Streaming);
         let r = simulate(Arch::Skylake, &cfg(Arch::Skylake, 40), &m, 1);
         let b = &r.breakdown;
@@ -1029,11 +1077,9 @@ mod tests {
         assert_eq!(r.regions, 10);
     }
 
-    use crate::TEL_TEST_LOCK as TEL_LOCK;
-
     #[test]
     fn telemetry_region_breakdowns_sum_to_region_totals() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_test_lock();
         let m = Model {
             name: "cg".into(),
             phases: vec![
@@ -1081,7 +1127,7 @@ mod tests {
 
     #[test]
     fn pathological_master_binding_is_dominated_by_imbalance() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_test_lock();
         // The paper's worst case: many threads all bound to the master's
         // place serialize on one core; nearly all elapsed time is threads
         // waiting on the straggler — the barrier/imbalance-wait sink.
@@ -1111,7 +1157,7 @@ mod tests {
 
     #[test]
     fn telemetry_disabled_simulation_is_bit_identical() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_test_lock();
         let m = loop_model(
             50_000,
             Imbalance::Random { cv: 0.4 },
@@ -1127,6 +1173,7 @@ mod tests {
 
     #[test]
     fn empty_phases_cost_nothing_parallel() {
+        let _tel = crate::tel_test_lock();
         let m = Model {
             name: "empty".into(),
             phases: vec![Phase::Loop(LoopPhase {

@@ -26,10 +26,17 @@ pub mod microsim;
 pub mod model;
 pub mod plan;
 
-/// Telemetry sessions are process-global; every test that opens one
-/// serializes on this lock regardless of which module it lives in.
+/// Serializes the crate's tests that simulate. Telemetry sessions and
+/// the flight recorder are process-global: a test that opens one
+/// observes every simulation running in the process, so a test that
+/// simulates without this lock would leak spans, counters and region
+/// records into a concurrent test's assertions.
 #[cfg(test)]
-pub(crate) static TEL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+pub(crate) fn tel_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the tests after it still run.
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 pub use energy::{power_for, price_energy};
 pub use exec::{machine_for, simulate, simulate_monolithic, SimResult, TimeBreakdown, MAX_UNITS};

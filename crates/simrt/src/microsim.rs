@@ -184,6 +184,7 @@ mod tests {
 
     #[test]
     fn static_uniform_agrees_exactly() {
+        let _tel = crate::tel_test_lock();
         check(
             100_000,
             300.0,
@@ -195,6 +196,7 @@ mod tests {
 
     #[test]
     fn static_skewed_agrees() {
+        let _tel = crate::tel_test_lock();
         check(
             80_000,
             500.0,
@@ -206,6 +208,7 @@ mod tests {
 
     #[test]
     fn guided_agrees_under_random_costs() {
+        let _tel = crate::tel_test_lock();
         check(
             60_000,
             800.0,
@@ -217,6 +220,7 @@ mod tests {
 
     #[test]
     fn dynamic_agrees_within_tail_tolerance() {
+        let _tel = crate::tel_test_lock();
         // Dynamic's fast path is the work-conserving bound + tail; the
         // oracle dispatches every iteration individually.
         check(

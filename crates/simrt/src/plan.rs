@@ -25,7 +25,7 @@ use crate::exec::{
 };
 use crate::model::{Model, Phase};
 use archsim::{MachineDesc, Topology};
-use omptune_core::{Arch, PlanProjection, TuningConfig};
+use omptune_core::{Arch, OmpSchedule, PlanProjection, TuningConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,25 +79,105 @@ pub struct RegionPlan {
     /// One entry for the cold step; a second for the warm step when the
     /// model has more than one timestep.
     steps: Vec<StepPlan>,
-    env: ThreadEnv,
+    env: Arc<ThreadEnv>,
+}
+
+/// The thread environment `projection` resolves to: placement and
+/// thread count. Pricing fields are left at their defaults — placement
+/// never reads them.
+fn projection_env(arch: Arch, projection: PlanProjection, machine: &MachineDesc) -> ThreadEnv {
+    let topo = Topology::new(machine.clone());
+    let planning = TuningConfig {
+        places: projection.places,
+        proc_bind: projection.proc_bind,
+        schedule: projection.schedule,
+        library: projection.library,
+        num_threads: projection.num_threads,
+        ..TuningConfig::default_for(arch, projection.num_threads)
+    };
+    thread_env(arch, &planning, &topo)
+}
+
+/// Which planner a region runs through, plus the one projection field
+/// that planner reads besides the environment: the schedule for loops,
+/// `KMP_LIBRARY` (as `yielding`) for tasks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RegionVariant {
+    Loop(OmpSchedule),
+    Tasks { yielding: bool },
+}
+
+/// Key of one memoized region in a [`PlanCache`]: everything
+/// `plan_loop`/`plan_tasks` read beyond the cache's fixed
+/// `(arch, model, seed)`. `step` and `pi` fix the phase and its seed;
+/// the interned environment fixes placement and thread count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RegionKey {
+    step: u64,
+    pi: usize,
+    env: u32,
+    variant: RegionVariant,
+}
+
+/// Where [`RegionPlan::assemble`] takes its regions from.
+#[derive(Clone, Copy)]
+enum Regions<'a> {
+    /// Plan every region afresh (the uncached oracle path).
+    Fresh,
+    /// Share regions through a batch memo, in interned environment `env`.
+    Memo { cache: &'a PlanCache, env: u32 },
+}
+
+impl Regions<'_> {
+    fn get(
+        self,
+        step: u64,
+        pi: usize,
+        variant: RegionVariant,
+        plan: impl FnOnce() -> PlannedRegion,
+    ) -> PlannedRegion {
+        match self {
+            Regions::Fresh => plan(),
+            Regions::Memo { cache, env } => cache.memo_region(
+                RegionKey {
+                    step,
+                    pi,
+                    env,
+                    variant,
+                },
+                plan,
+            ),
+        }
+    }
 }
 
 impl RegionPlan {
     /// Plan the cold and warm timesteps for `projection` on `arch`.
     pub fn build(arch: Arch, projection: PlanProjection, model: &Model, seed: u64) -> RegionPlan {
         let machine = machine_for(arch);
-        let topo = Topology::new(machine.clone());
-        // Planning config: projection fields forced, pricing fields at
-        // their defaults — the planning passes never read them.
-        let planning = TuningConfig {
-            places: projection.places,
-            proc_bind: projection.proc_bind,
-            schedule: projection.schedule,
-            library: projection.library,
-            num_threads: projection.num_threads,
-            ..TuningConfig::default_for(arch, projection.num_threads)
-        };
-        let env = thread_env(arch, &planning, &topo);
+        let env = projection_env(arch, projection, &machine);
+        RegionPlan::assemble(
+            arch,
+            projection,
+            model,
+            seed,
+            &machine,
+            Arc::new(env),
+            Regions::Fresh,
+        )
+    }
+
+    /// Plan every step of `model` in environment `env`, taking each
+    /// parallel region from `regions`.
+    fn assemble(
+        arch: Arch,
+        projection: PlanProjection,
+        model: &Model,
+        seed: u64,
+        machine: &MachineDesc,
+        env: Arc<ThreadEnv>,
+        regions: Regions,
+    ) -> RegionPlan {
         let t = projection.num_threads;
         let yielding = projection.library == omptune_core::KmpLibrary::Throughput;
 
@@ -109,49 +189,52 @@ impl RegionPlan {
         let mut idle_since_region = f64::INFINITY;
         for step in 0..sim_steps {
             let mut phases = Vec::with_capacity(model.phases.len());
-            let mut regions = 0u64;
+            let mut region_count = 0u64;
             for (pi, phase) in model.phases.iter().enumerate() {
                 let phase_seed = seed ^ (step << 32) ^ pi as u64;
-                match phase {
+                let (kind, planned, reductions) = match phase {
                     Phase::Serial { ns } => {
                         idle_since_region += ns;
                         phases.push(PhasePlan::Serial { ns: *ns });
+                        continue;
                     }
                     Phase::Loop(l) => {
-                        let planned = plan_loop(
-                            l,
-                            t,
-                            projection.schedule,
-                            &machine,
-                            &env,
-                            model.migration_sensitivity,
-                            phase_seed,
-                        );
-                        phases.push(PhasePlan::Region {
-                            pi,
-                            kind: omptel::RegionKind::Loop,
-                            planned,
-                            reductions: l.reductions,
-                            idle_before: idle_since_region,
+                        let variant = RegionVariant::Loop(projection.schedule);
+                        let planned = regions.get(step, pi, variant, || {
+                            plan_loop(
+                                l,
+                                t,
+                                projection.schedule,
+                                machine,
+                                &env,
+                                model.migration_sensitivity,
+                                phase_seed,
+                            )
                         });
-                        idle_since_region = 0.0;
-                        regions += 1;
+                        (omptel::RegionKind::Loop, planned, l.reductions)
                     }
                     Phase::Tasks(tp) => {
-                        let planned = plan_tasks(tp, t, yielding, &machine, &env, phase_seed);
-                        phases.push(PhasePlan::Region {
-                            pi,
-                            kind: omptel::RegionKind::Tasks,
-                            planned,
-                            reductions: 0,
-                            idle_before: idle_since_region,
+                        let variant = RegionVariant::Tasks { yielding };
+                        let planned = regions.get(step, pi, variant, || {
+                            plan_tasks(tp, t, yielding, machine, &env, phase_seed)
                         });
-                        idle_since_region = 0.0;
-                        regions += 1;
+                        (omptel::RegionKind::Tasks, planned, 0)
                     }
-                }
+                };
+                phases.push(PhasePlan::Region {
+                    pi,
+                    kind,
+                    planned,
+                    reductions,
+                    idle_before: idle_since_region,
+                });
+                idle_since_region = 0.0;
+                region_count += 1;
             }
-            steps.push(StepPlan { phases, regions });
+            steps.push(StepPlan {
+                phases,
+                regions: region_count,
+            });
         }
         RegionPlan {
             arch,
@@ -281,16 +364,16 @@ impl RegionPlan {
     /// property tests pin this). Results are appended to `out` in input
     /// order.
     ///
-    /// When no telemetry session or flight recording is live, this runs
-    /// a struct-of-arrays fast path: the per-region plan addends are
-    /// walked once per phase with a config-inner accumulation loop, so
-    /// one plan fetch prices the whole group and the inner loops
-    /// auto-vectorize. Per-config FP accumulation order is unchanged —
-    /// only the loop nest is transposed — so every result is bit-equal
-    /// to the sequential path. With telemetry or tracing active it
-    /// falls back to per-config [`RegionPlan::price`] so event order
-    /// (region records, virtual spans, counters) is identical to the
-    /// one-at-a-time path.
+    /// This runs a struct-of-arrays fast path: the per-region plan
+    /// addends are walked once per phase with a config-inner
+    /// accumulation loop, so one plan fetch prices the whole group and
+    /// the inner loops auto-vectorize. Per-config FP accumulation order
+    /// is unchanged — only the loop nest is transposed — so every result
+    /// is bit-equal to the sequential path. The fast path also runs
+    /// under the flight recorder, as one `Price` span per group. Only a
+    /// telemetry session (per-region records) or simulator virtual
+    /// spans fall back to per-config [`RegionPlan::price`], whose event
+    /// order is identical to the one-at-a-time path.
     pub fn price_batch(
         &self,
         tunings: &[TuningConfig],
@@ -300,7 +383,7 @@ impl RegionPlan {
         if tunings.is_empty() {
             return;
         }
-        if omptel::enabled() || omptel::tracing() {
+        if omptel::enabled() || (omptel::tracing() && omptel::sim_spans()) {
             for t in tunings {
                 let _s = omptel::span(omptel::SpanKind::Price, 0);
                 out.push(self.price(t));
@@ -308,6 +391,7 @@ impl RegionPlan {
             return;
         }
         let n = tunings.len();
+        let _s = omptel::span(omptel::SpanKind::Price, n as u64);
         let machine = machine_for(self.arch);
         let t = self.projection.num_threads;
         scratch.reset(n);
@@ -523,13 +607,36 @@ impl PriceScratch {
 /// [`PlanProjection`] to its shared [`RegionPlan`]. Thread-safe; hit and
 /// miss counts are tracked locally (always) and mirrored into the
 /// `omptel` counters when a telemetry session is active.
+///
+/// **Region memo.** Many projections resolve to the same thread
+/// placement (`OMP_PROC_BIND=unset` becomes `spread` once places are
+/// set, `true` means `close`), and `KMP_LIBRARY` only reaches task
+/// regions. So the cache also interns each distinct [`ThreadEnv`]
+/// (compared exactly, f64 by bits) and memoizes every planned region by
+/// `(timestep, phase, environment, schedule | yielding)` — exactly the
+/// inputs the region planners read. A plan built through the cache
+/// assembles memoized regions, so each distinct (region, placement) is
+/// planned once per batch however many projections share it, and the
+/// result is bit-identical to [`RegionPlan::build`] by construction.
 pub struct PlanCache {
     arch: Arch,
     seed: u64,
     model_name: String,
     plans: Mutex<HashMap<PlanProjection, Arc<RegionPlan>>>,
+    memo: Mutex<RegionMemo>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The region memo of one [`PlanCache`]: interned environments (id =
+/// insertion order), the regions planned in them, and how often a
+/// region was planned or taken from the memo.
+#[derive(Default)]
+struct RegionMemo {
+    envs: HashMap<Arc<ThreadEnv>, u32>,
+    regions: HashMap<RegionKey, PlannedRegion>,
+    builds: u64,
+    reuses: u64,
 }
 
 impl PlanCache {
@@ -540,6 +647,7 @@ impl PlanCache {
             seed,
             model_name: model.name.clone(),
             plans: Mutex::new(HashMap::new()),
+            memo: Mutex::new(RegionMemo::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -552,30 +660,7 @@ impl PlanCache {
     /// deterministic), so the race costs duplicated work, never wrong
     /// answers.
     pub fn plan(&self, tuning: &TuningConfig, model: &Model) -> Arc<RegionPlan> {
-        debug_assert_eq!(
-            model.name, self.model_name,
-            "plan cache is per (arch, model, seed)"
-        );
-        let key = tuning.plan_projection();
-        if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            omptel::add(omptel::Counter::PlanCacheHits, 1);
-            omptel::instant(omptel::SpanKind::PlanHit, 0);
-            return Arc::clone(plan);
-        }
-        let built = {
-            let _s = omptel::span(omptel::SpanKind::PlanBuild, 0);
-            Arc::new(RegionPlan::build(self.arch, key, model, self.seed))
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        omptel::add(omptel::Counter::PlanCacheMisses, 1);
-        Arc::clone(
-            self.plans
-                .lock()
-                .expect("plan cache poisoned")
-                .entry(key)
-                .or_insert(built),
-        )
+        self.plan_batch(tuning, model, 1)
     }
 
     /// The plan for a whole group of `group` configurations sharing
@@ -597,10 +682,7 @@ impl PlanCache {
             omptel::instant(omptel::SpanKind::PlanHit, group);
             return Arc::clone(plan);
         }
-        let built = {
-            let _s = omptel::span(omptel::SpanKind::PlanBuild, 0);
-            Arc::new(RegionPlan::build(self.arch, key, model, self.seed))
-        };
+        let built = Arc::new(self.build(key, model));
         self.misses.fetch_add(1, Ordering::Relaxed);
         omptel::add(omptel::Counter::PlanCacheMisses, 1);
         if group > 1 {
@@ -616,12 +698,69 @@ impl PlanCache {
         )
     }
 
+    /// Build the plan for `projection` from memoized regions.
+    fn build(&self, projection: PlanProjection, model: &Model) -> RegionPlan {
+        let _s = omptel::span(omptel::SpanKind::PlanBuild, 0);
+        let machine = machine_for(self.arch);
+        let (env, id) = self.intern(projection_env(self.arch, projection, &machine));
+        RegionPlan::assemble(
+            self.arch,
+            projection,
+            model,
+            self.seed,
+            &machine,
+            env,
+            Regions::Memo {
+                cache: self,
+                env: id,
+            },
+        )
+    }
+
+    /// The shared copy of `env` and its id, interning it on first sight.
+    fn intern(&self, env: ThreadEnv) -> (Arc<ThreadEnv>, u32) {
+        let mut memo = self.memo.lock().expect("region memo poisoned");
+        if let Some((shared, &id)) = memo.envs.get_key_value(&env) {
+            return (Arc::clone(shared), id);
+        }
+        let id = memo.envs.len() as u32;
+        let shared = Arc::new(env);
+        memo.envs.insert(Arc::clone(&shared), id);
+        (shared, id)
+    }
+
+    /// The memoized region under `key`, planning it on first use. As
+    /// with plans, concurrent first uses may both plan; both results
+    /// are identical and the first insert wins.
+    fn memo_region(&self, key: RegionKey, plan: impl FnOnce() -> PlannedRegion) -> PlannedRegion {
+        {
+            let mut memo = self.memo.lock().expect("region memo poisoned");
+            if let Some(&planned) = memo.regions.get(&key) {
+                memo.reuses += 1;
+                omptel::add(omptel::Counter::RegionReuses, 1);
+                return planned;
+            }
+        }
+        let planned = plan();
+        omptel::add(omptel::Counter::RegionBuilds, 1);
+        let mut memo = self.memo.lock().expect("region memo poisoned");
+        memo.builds += 1;
+        *memo.regions.entry(key).or_insert(planned)
+    }
+
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// `(builds, reuses)` of the region memo so far: parallel regions
+    /// planned, and regions a plan build took from the memo instead.
+    pub fn region_stats(&self) -> (u64, u64) {
+        let memo = self.memo.lock().expect("region memo poisoned");
+        (memo.builds, memo.reuses)
     }
 
     /// Number of distinct projections planned.
@@ -690,6 +829,7 @@ mod tests {
 
     #[test]
     fn planned_price_is_bit_identical_to_monolithic() {
+        let _tel = crate::tel_test_lock();
         let m = mixed_model();
         for arch in [Arch::A64fx, Arch::Skylake, Arch::Milan] {
             let mut c = TuningConfig::default_for(arch, 24);
@@ -704,6 +844,7 @@ mod tests {
 
     #[test]
     fn one_plan_prices_every_pricing_variant_identically() {
+        let _tel = crate::tel_test_lock();
         let m = mixed_model();
         let arch = Arch::Skylake;
         let cache = PlanCache::new(arch, &m, 5);
@@ -746,6 +887,7 @@ mod tests {
 
     #[test]
     fn distinct_projections_get_distinct_plans() {
+        let _tel = crate::tel_test_lock();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Milan, &m, 0);
         for schedule in [
@@ -767,6 +909,7 @@ mod tests {
 
     #[test]
     fn cached_simulation_matches_under_concurrency() {
+        let _tel = crate::tel_test_lock();
         let m = std::sync::Arc::new(mixed_model());
         let cache = std::sync::Arc::new(PlanCache::new(Arch::A64fx, &m, 9));
         let configs: Vec<TuningConfig> =
@@ -849,6 +992,7 @@ mod tests {
 
     #[test]
     fn batch_pricing_is_bit_identical_to_sequential() {
+        let _tel = crate::tel_test_lock();
         let m = mixed_model();
         let mut scratch = PriceScratch::new();
         for arch in [Arch::A64fx, Arch::Skylake, Arch::Milan] {
@@ -872,6 +1016,7 @@ mod tests {
 
     #[test]
     fn plan_batch_counts_like_per_config_plan_calls() {
+        let _tel = crate::tel_test_lock();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Skylake, &m, 3);
         let c = TuningConfig::default_for(Arch::Skylake, 8);
@@ -884,13 +1029,11 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    use crate::TEL_TEST_LOCK as TEL_LOCK;
-
     #[test]
     fn batch_pricing_matches_across_telemetry_paths() {
+        let _tel = crate::tel_test_lock();
         // The telemetry-active fallback (per-config price) and the SoA
         // fast path must agree bit-for-bit.
-        let _guard = TEL_LOCK.lock().unwrap();
         let m = mixed_model();
         let variants = pricing_variants(Arch::Milan, 16);
         let cache = PlanCache::new(Arch::Milan, &m, 2);
@@ -909,8 +1052,39 @@ mod tests {
     }
 
     #[test]
+    fn batch_pricing_runs_batched_under_the_recorder() {
+        let _tel = crate::tel_test_lock();
+        use omptel::{EventKind, SpanKind};
+        let m = mixed_model();
+        let variants = pricing_variants(Arch::Skylake, 16);
+        let plan = PlanCache::new(Arch::Skylake, &m, 6).plan_batch(&variants[0], &m, 1);
+        let mut scratch = PriceScratch::new();
+        let mut untraced = Vec::new();
+        plan.price_batch(&variants, &mut scratch, &mut untraced);
+        // Default recorder: the SoA path itself runs, as one span.
+        for (sim_spans, price_spans) in [(false, 1), (true, variants.len())] {
+            let rec = omptel::Recorder::start(omptel::RecorderOptions {
+                sim_spans,
+                ..omptel::RecorderOptions::default()
+            })
+            .expect("no live recorder");
+            let mut traced = Vec::new();
+            plan.price_batch(&variants, &mut scratch, &mut traced);
+            let recording = rec.finish();
+            for (a, b) in untraced.iter().zip(&traced) {
+                assert_bit_equal(a, b, "traced batch pricing");
+            }
+            assert_eq!(
+                recording.count(EventKind::SpanBegin, SpanKind::Price),
+                price_spans,
+                "sim_spans={sim_spans}"
+            );
+        }
+    }
+
+    #[test]
     fn plan_cache_counters_reach_telemetry() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_test_lock();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Skylake, &m, 1);
         let session = omptel::session().expect("no other session active");
@@ -918,14 +1092,78 @@ mod tests {
         simulate_with_cache(Arch::Skylake, &c, &m, 1, &cache);
         c.blocktime = KmpBlocktime::Zero;
         simulate_with_cache(Arch::Skylake, &c, &m, 1, &cache);
+        // A second library shares the loop region's placement: the
+        // memo plans only the task region afresh.
+        c.library = KmpLibrary::Turnaround;
+        simulate_with_cache(Arch::Skylake, &c, &m, 1, &cache);
         let batch = session.finish();
-        assert_eq!(batch.counters.get(omptel::Counter::PlanCacheMisses), 1);
+        assert_eq!(batch.counters.get(omptel::Counter::PlanCacheMisses), 2);
         assert_eq!(batch.counters.get(omptel::Counter::PlanCacheHits), 1);
+        let (builds, reuses) = cache.region_stats();
+        assert_eq!(batch.counters.get(omptel::Counter::RegionBuilds), builds);
+        assert_eq!(batch.counters.get(omptel::Counter::RegionReuses), reuses);
+        // 2 simulated steps × (loop + tasks): 4 builds, then the second
+        // library reuses both loop regions and rebuilds both task ones.
+        assert_eq!((builds, reuses), (6, 2));
+    }
+
+    /// `(places, proc_bind)` pairs that resolve to one placement
+    /// (Sec. III-2: `unset` binds `spread` once places are set, `true`
+    /// binds `close`, and without places `unset` is `false`).
+    const SAME_PLACEMENT: [[(OmpPlaces, OmpProcBind); 2]; 3] = [
+        [
+            (OmpPlaces::Cores, OmpProcBind::Unset),
+            (OmpPlaces::Cores, OmpProcBind::Spread),
+        ],
+        [
+            (OmpPlaces::Sockets, OmpProcBind::True),
+            (OmpPlaces::Sockets, OmpProcBind::Close),
+        ],
+        [
+            (OmpPlaces::Unset, OmpProcBind::Unset),
+            (OmpPlaces::Unset, OmpProcBind::False),
+        ],
+    ];
+
+    #[test]
+    fn equivalent_placements_share_regions_bit_identically() {
+        let _tel = crate::tel_test_lock();
+        let m = mixed_model();
+        for arch in [Arch::A64fx, Arch::Skylake, Arch::Milan] {
+            for pair in SAME_PLACEMENT {
+                let cache = PlanCache::new(arch, &m, 4);
+                for (places, proc_bind) in pair {
+                    for schedule in [
+                        OmpSchedule::Static,
+                        OmpSchedule::Dynamic,
+                        OmpSchedule::Guided,
+                    ] {
+                        let mut c = TuningConfig::default_for(arch, 24);
+                        c.places = places;
+                        c.proc_bind = proc_bind;
+                        c.schedule = schedule;
+                        let cached = simulate_with_cache(arch, &c, &m, 4, &cache);
+                        let fresh = RegionPlan::build(arch, c.plan_projection(), &m, 4).price(&c);
+                        let what = format!("{arch:?} {c:?}");
+                        assert_bit_equal(&cached, &fresh, &what);
+                        assert_bit_equal(&cached, &simulate_monolithic(arch, &c, &m, 4), &what);
+                    }
+                }
+                // Six projections, one placement: the second member of
+                // the pair plans nothing. Per schedule and step, the
+                // loop plans once; the task region (schedule-blind)
+                // plans once per step overall.
+                let (builds, reuses) = cache.region_stats();
+                assert_eq!(cache.len(), 6, "{arch:?} {pair:?}");
+                assert_eq!(builds, 3 * 2 + 2, "{arch:?} {pair:?}");
+                assert_eq!(builds + reuses, 6 * 4, "{arch:?} {pair:?}");
+            }
+        }
     }
 
     #[test]
     fn tracing_does_not_perturb_results_bitwise() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_test_lock();
         let m = mixed_model();
         let configs: Vec<TuningConfig> = (1..=8)
             .map(|t| TuningConfig::default_for(Arch::A64fx, t))

@@ -269,3 +269,137 @@ proptest! {
         prop_assert!(m > d, "master {m} should exceed default {d}");
     }
 }
+
+/// Static-, dynamic- and guided-scheduled sweeps of this model cover
+/// every loop planner path: three loops of different memory behaviour
+/// (streaming with reductions, random shared lookups, cache-resident
+/// with a linear imbalance), a serial gap and a task phase.
+fn memo_model(timesteps: u32) -> Model {
+    Model {
+        name: "memo".into(),
+        phases: vec![
+            Phase::Loop(LoopPhase {
+                iters: 30_000,
+                cycles_per_iter: 220.0,
+                bytes_per_iter: 48.0,
+                access: AccessPattern::Streaming,
+                imbalance: Imbalance::Random { cv: 0.35 },
+                reductions: 2,
+            }),
+            Phase::Loop(LoopPhase {
+                iters: 9_000,
+                cycles_per_iter: 400.0,
+                bytes_per_iter: 0.0,
+                access: AccessPattern::RandomShared {
+                    accesses_per_iter: 3.0,
+                },
+                imbalance: Imbalance::Uniform,
+                reductions: 0,
+            }),
+            Phase::Serial { ns: 6_000.0 },
+            Phase::Loop(LoopPhase {
+                iters: 2_000,
+                cycles_per_iter: 900.0,
+                bytes_per_iter: 0.0,
+                access: AccessPattern::CacheResident,
+                imbalance: Imbalance::Linear { skew: 1.5 },
+                reductions: 1,
+            }),
+            Phase::Tasks(TaskPhase {
+                n_tasks: 4_000,
+                cycles_per_task: 800.0,
+                cv: 0.3,
+                starvation: 0.4,
+                bytes_per_task: 16.0,
+            }),
+        ],
+        timesteps,
+        migration_sensitivity: 0.6,
+    }
+}
+
+/// A configuration with another spelling of the same thread placement
+/// (Sec. III-2): `unset` binds `spread` once places are set, `true`
+/// binds `close`, and without places `unset` means `false`. Returns the
+/// input unchanged when it has no such twin.
+fn placement_twin(c: &TuningConfig) -> TuningConfig {
+    use omptune_core::{OmpPlaces, OmpProcBind};
+    let mut twin = *c;
+    twin.proc_bind = match (c.places, c.proc_bind) {
+        (OmpPlaces::Unset, OmpProcBind::Unset) => OmpProcBind::False,
+        (OmpPlaces::Unset, OmpProcBind::False) => OmpProcBind::Unset,
+        (_, OmpProcBind::Unset) => OmpProcBind::Spread,
+        (places, OmpProcBind::Spread) if places != OmpPlaces::Unset => OmpProcBind::Unset,
+        (_, OmpProcBind::True) => OmpProcBind::Close,
+        (_, OmpProcBind::Close) => OmpProcBind::True,
+        (_, bind) => bind,
+    };
+    twin
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The plan cache's region memo is exact: pricing through a shared
+    /// cache — where projections that resolve to one placement assemble
+    /// the same memoized regions — is bit-identical to a fresh
+    /// `RegionPlan::build(..).price` and to the monolithic simulation,
+    /// for random configurations and their placement twins.
+    #[test]
+    fn region_memo_is_bit_identical_to_fresh_plans(
+        arch in arch_strategy(),
+        half_team in any::<bool>(),
+        indices in prop::collection::vec(0usize..4608, 6..12),
+        seed in any::<u64>(),
+        timesteps in 1u32..5,
+    ) {
+        use omptune_core::Placement;
+        let t = if half_team { arch.cores() / 2 } else { arch.cores() };
+        let space = ConfigSpace::new(arch, t);
+        let model = memo_model(timesteps);
+        let cache = PlanCache::new(arch, &model, seed);
+        let mut twins = 0;
+        for idx in indices {
+            let config = space.get(idx % space.len()).expect("in space");
+            let twin = placement_twin(&config);
+            prop_assert_eq!(
+                Placement::compute(arch, &config),
+                Placement::compute(arch, &twin)
+            );
+            if twin != config {
+                twins += 1;
+            }
+            for c in [config, twin] {
+                let cached = simrt::simulate_with_cache(arch, &c, &model, seed, &cache);
+                let fresh = simrt::RegionPlan::build(arch, c.plan_projection(), &model, seed)
+                    .price(&c);
+                let mono = simulate_monolithic(arch, &c, &model, seed);
+                for other in [&fresh, &mono] {
+                    prop_assert_eq!(
+                        cached.total_ns.to_bits(),
+                        other.total_ns.to_bits(),
+                        "total differs for {:?}", c
+                    );
+                    prop_assert_eq!(
+                        cached.breakdown.compute_ns.to_bits(),
+                        other.breakdown.compute_ns.to_bits()
+                    );
+                    prop_assert_eq!(
+                        cached.breakdown.dispatch_ns.to_bits(),
+                        other.breakdown.dispatch_ns.to_bits()
+                    );
+                    prop_assert_eq!(&cached, other);
+                }
+            }
+        }
+        // Every region of every planned projection came from the memo,
+        // and a twin's regions are always reused, never re-planned.
+        let (_, plans) = cache.stats();
+        let (builds, reuses) = cache.region_stats();
+        let steps = if timesteps > 1 { 2 } else { 1 };
+        prop_assert_eq!(builds + reuses, plans * 4 * steps);
+        if twins > 0 {
+            prop_assert!(reuses >= 4 * steps, "{} twins but {} reuses", twins, reuses);
+        }
+    }
+}

@@ -415,15 +415,22 @@ impl SweepState {
              \"omptel_ring_events_total\":{events},\
              \"omptel_ring_dropped_total\":{dropped},"
         ));
-        // Warm-sweep engine counters: batch pricing, the indexed binary
-        // cache, and the worker allocation pools. Zero outside a
+        // Sweep engine counters: the plan cache and its region memo,
+        // batch pricing, the indexed binary cache, and the worker
+        // allocation pools. Zero outside a
         // telemetry session (counters are session-gated).
         let counters = omptel::counters_now();
         out.push_str(&format!(
-            "\"engine\":{{\"priced_batches\":{},\
+            "\"engine\":{{\"plan_cache_hits\":{},\"plan_cache_misses\":{},\
+             \"region_builds\":{},\"region_reuses\":{},\
+             \"priced_batches\":{},\
              \"sample_cache_index_hits\":{},\
              \"sample_cache_tmp_reaped\":{},\
              \"pool_hits\":{},\"pool_misses\":{}}},",
+            counters.get(omptel::Counter::PlanCacheHits),
+            counters.get(omptel::Counter::PlanCacheMisses),
+            counters.get(omptel::Counter::RegionBuilds),
+            counters.get(omptel::Counter::RegionReuses),
             counters.get(omptel::Counter::PricedBatches),
             counters.get(omptel::Counter::SampleCacheIndexHits),
             counters.get(omptel::Counter::SampleCacheTmpReaped),
@@ -886,10 +893,13 @@ fn main() -> std::io::Result<()> {
             s.sample_misses - before_cache.1,
         );
         eprintln!(
-            "{}: plan cache {}/{} hits, sample cache {}/{} hits, {} steals over {} units",
+            "{}: plan cache {}/{} hits, region memo {}/{} reused, \
+             sample cache {}/{} hits, {} steals over {} units",
             arch.id(),
             s.plan_hits,
             s.plan_hits + s.plan_misses,
+            s.region_reuses,
+            s.region_builds + s.region_reuses,
             arch_cache.0,
             arch_cache.0 + arch_cache.1,
             s.steals,
@@ -897,6 +907,8 @@ fn main() -> std::io::Result<()> {
         );
         agg_stats.plan_hits += s.plan_hits;
         agg_stats.plan_misses += s.plan_misses;
+        agg_stats.region_builds += s.region_builds;
+        agg_stats.region_reuses += s.region_reuses;
         agg_stats.steals += s.steals;
         agg_stats.units += s.units;
         eprintln!(
@@ -1015,6 +1027,8 @@ fn main() -> std::io::Result<()> {
         let mut counters = vec![
             ("plan_hits".to_string(), agg_stats.plan_hits),
             ("plan_misses".to_string(), agg_stats.plan_misses),
+            ("region_builds".to_string(), agg_stats.region_builds),
+            ("region_reuses".to_string(), agg_stats.region_reuses),
             ("sample_hits".to_string(), agg_stats.sample_hits),
             ("sample_misses".to_string(), agg_stats.sample_misses),
             ("steals".to_string(), agg_stats.steals),

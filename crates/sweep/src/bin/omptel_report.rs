@@ -48,9 +48,11 @@ fn fmt_ns(ns: u64) -> String {
 /// kept to itself).
 fn stats_table(stats: &sweep::SweepStats) -> String {
     let mut out = String::from("scheduler statistics\n");
-    let rows: [(&str, u64); 6] = [
+    let rows: [(&str, u64); 8] = [
         ("plan cache hits", stats.plan_hits),
         ("plan cache misses", stats.plan_misses),
+        ("region builds", stats.region_builds),
+        ("region reuses", stats.region_reuses),
         ("sample cache hits", stats.sample_hits),
         ("sample cache misses", stats.sample_misses),
         ("unit steals", stats.steals),
@@ -247,10 +249,13 @@ fn json_report(arch: Arch, app_name: &str) -> Result<String, String> {
         worst.mean_runtime() / best.mean_runtime()
     ));
     out.push_str(&format!(
-        "  \"stats\": {{\"plan_hits\": {}, \"plan_misses\": {}, \"sample_hits\": {}, \
+        "  \"stats\": {{\"plan_hits\": {}, \"plan_misses\": {}, \"region_builds\": {}, \
+         \"region_reuses\": {}, \"sample_hits\": {}, \
          \"sample_misses\": {}, \"steals\": {}, \"units\": {}}}\n}}\n",
         stats.plan_hits,
         stats.plan_misses,
+        stats.region_builds,
+        stats.region_reuses,
         stats.sample_hits,
         stats.sample_misses,
         stats.steals,

@@ -228,10 +228,10 @@ fn failure_roll(seed: u64, stream: u64, rep: u32) -> f64 {
 }
 
 /// Simulate one configuration's repetitions against a prebuilt model,
-/// optionally through a plan cache (bit-identical either way — the
-/// plan/price property tests pin it). Repetitions hit by the failure
-/// model record `NaN` ("the job died"), to be dropped by the cleaning
-/// pass.
+/// through the batch's plan cache (bit-identical to a fresh
+/// [`simrt::simulate`] — the plan/price property tests pin it).
+/// Repetitions hit by the failure model record `NaN` ("the job died"),
+/// to be dropped by the cleaning pass.
 pub(crate) fn run_config_sim(
     key: &RunKey,
     model: &simrt::Model,
@@ -239,12 +239,9 @@ pub(crate) fn run_config_sim(
     config_index: usize,
     spec: &SweepSpec,
     noise: &NoiseModel,
-    plans: Option<&simrt::PlanCache>,
+    plans: &simrt::PlanCache,
 ) -> (Vec<f64>, SampleTelemetry) {
-    let sim = match plans {
-        Some(cache) => simrt::simulate_with_cache(key.arch, config, model, spec.seed, cache),
-        None => simrt::simulate(key.arch, config, model, spec.seed),
-    };
+    let sim = simrt::simulate_with_cache(key.arch, config, model, spec.seed, plans);
     sample_from_sim(key, &sim, config, config_index, spec, noise)
 }
 
@@ -294,19 +291,6 @@ pub(crate) fn model_of(app: &AppSpec, key: &RunKey) -> simrt::Model {
     (app.model)(key.arch, setting)
 }
 
-/// Simulate one configuration's repetitions (monolithic convenience).
-fn run_config(
-    key: &RunKey,
-    app: &AppSpec,
-    config: &TuningConfig,
-    config_index: usize,
-    spec: &SweepSpec,
-    noise: &NoiseModel,
-) -> (Vec<f64>, SampleTelemetry) {
-    let model = model_of(app, key);
-    run_config_sim(key, &model, config, config_index, spec, noise, None)
-}
-
 /// Run the full batch for one (arch, app, setting).
 ///
 /// `setting_idx` is the setting's position in the architecture's sweep
@@ -321,11 +305,16 @@ pub fn sweep_setting(
     let key = RunKey::new(arch, app.name, setting.input_code, setting.num_threads);
     let noise = NoiseModel::for_machine(arch.id());
     let configs = configs_for(arch, setting.num_threads, setting_idx, spec.scope);
+    let model = model_of(app, &key);
+    let plans = simrt::PlanCache::new(arch, &model, spec.seed);
+    let run = |config: &TuningConfig, config_index: usize| {
+        run_config_sim(&key, &model, config, config_index, spec, &noise, &plans)
+    };
 
     let samples: Vec<RawSample> = configs
         .into_iter()
         .map(|(config_index, config)| {
-            let (runtimes, telemetry) = run_config(&key, app, &config, config_index, spec, &noise);
+            let (runtimes, telemetry) = run(&config, config_index);
             RawSample {
                 config_index,
                 runtimes,
@@ -338,8 +327,7 @@ pub fn sweep_setting(
     // The default configuration is simulated explicitly (it may or may
     // not be among the sampled rows) with its own noise stream.
     let default_config = TuningConfig::default_for(arch, setting.num_threads);
-    let (default_runtimes, default_telemetry) =
-        run_config(&key, app, &default_config, usize::MAX, spec, &noise);
+    let (default_runtimes, default_telemetry) = run(&default_config, usize::MAX);
 
     SettingData {
         key,
@@ -577,6 +565,111 @@ mod tests {
             .filter(|s| s.runtimes.iter().any(|r| r.is_nan()))
             .count();
         assert_eq!(failed, failed_again);
+    }
+
+    /// Bit pattern of one sample's repetitions and telemetry (NaN-safe).
+    fn sample_bits(runtimes: &[f64], t: &SampleTelemetry) -> Vec<u64> {
+        let mut bits: Vec<u64> = runtimes.iter().map(|r| r.to_bits()).collect();
+        bits.push(t.virtual_ns.to_bits());
+        bits.push(t.regions);
+        bits.push(t.breakdown.sum().to_bits());
+        bits.push(t.breakdown.imbalance_ns.to_bits());
+        bits.push(t.energy.total_j.to_bits());
+        bits.push(t.energy.wait_j.to_bits());
+        bits
+    }
+
+    /// Both sweep engines price through plan caches, so comparing them
+    /// only proves two cached paths agree. This oracle rebuilds whole
+    /// batches the slow way — one `simulate_monolithic` per config, no
+    /// plan or region sharing at all, then the runner's own noise and
+    /// failure injection — and demands bit equality with both engines.
+    #[test]
+    fn cached_engines_match_the_monolithic_oracle() {
+        use crate::schedule::{sweep_setting_scheduled, SweepOptions};
+        let spec = SweepSpec {
+            scope: Scope::Strided(60),
+            reps: 3,
+            seed: 23,
+            failure_rate: 0.1,
+            ..SweepSpec::default()
+        };
+        let cases = [
+            (Arch::Skylake, "cg"),
+            (Arch::Milan, "alignment"),
+            (Arch::A64fx, "lulesh"),
+        ];
+        let mut failed_reps = 0;
+        for (arch, app_name) in cases {
+            let (app, setting, idx) = work_list(arch, spec.roster)
+                .into_iter()
+                .find(|(app, _, _)| app.name == app_name)
+                .expect("app on arch");
+            let key = RunKey::new(arch, app.name, setting.input_code, setting.num_threads);
+            let model = model_of(app, &key);
+            let noise = NoiseModel::for_machine(arch.id());
+            let oracle = |config: &TuningConfig, config_index: usize| {
+                let sim = simrt::simulate_monolithic(arch, config, &model, spec.seed);
+                let (runtimes, telemetry) =
+                    sample_from_sim(&key, &sim, config, config_index, &spec, &noise);
+                sample_bits(&runtimes, &telemetry)
+            };
+            let sequential = sweep_setting(arch, app, setting, idx, &spec);
+            let (scheduled, _) =
+                sweep_setting_scheduled(arch, app, setting, idx, &spec, &SweepOptions::new(2));
+            for data in [&sequential, &scheduled] {
+                let configs = configs_for(arch, setting.num_threads, idx, spec.scope);
+                assert_eq!(data.samples.len(), configs.len());
+                for (s, (config_index, config)) in data.samples.iter().zip(&configs) {
+                    assert_eq!(s.config_index, *config_index);
+                    assert_eq!(
+                        sample_bits(&s.runtimes, &s.telemetry),
+                        oracle(config, *config_index),
+                        "{arch:?}/{app_name} config {config_index}"
+                    );
+                    failed_reps += s.runtimes.iter().filter(|r| r.is_nan()).count();
+                }
+                let default_config = TuningConfig::default_for(arch, setting.num_threads);
+                assert_eq!(
+                    sample_bits(&data.default_runtimes, &data.default_telemetry),
+                    oracle(&default_config, usize::MAX),
+                    "{arch:?}/{app_name} default row"
+                );
+            }
+        }
+        assert!(failed_reps > 0, "failure injection never fired");
+    }
+
+    /// The region memo earns its keep on a real batch: far fewer regions
+    /// are planned than the batch's projections would plan one by one.
+    #[test]
+    fn region_memo_dedupes_a_real_batch() {
+        use crate::schedule::{sweep_setting_scheduled, SweepOptions};
+        let spec = SweepSpec {
+            scope: Scope::Strided(24),
+            ..SweepSpec::default()
+        };
+        let (app, setting, idx) = work_list(Arch::Skylake, spec.roster)
+            .into_iter()
+            .find(|(app, _, _)| app.name == "cg")
+            .expect("cg on skylake");
+        let (_, stats) = sweep_setting_scheduled(
+            Arch::Skylake,
+            app,
+            setting,
+            idx,
+            &spec,
+            &SweepOptions::new(1),
+        );
+        let projections = stats.plan_misses;
+        let regions = stats.region_builds + stats.region_reuses;
+        assert!(projections > 1);
+        assert_eq!(regions % projections, 0, "every plan has the same regions");
+        assert!(
+            stats.region_builds < projections,
+            "{} region builds for {projections} projections ({regions} regions)",
+            stats.region_builds
+        );
     }
 
     #[test]

@@ -44,6 +44,11 @@ pub struct SweepStats {
     /// Simulation-plan cache hits/misses across all batches.
     pub plan_hits: u64,
     pub plan_misses: u64,
+    /// Parallel regions the plan caches' region memos planned, and
+    /// regions plan builds took from a memo instead (projections that
+    /// resolved to an already-planned thread placement).
+    pub region_builds: u64,
+    pub region_reuses: u64,
     /// Sample-cache hits/misses (zero when no cache is attached).
     pub sample_hits: u64,
     pub sample_misses: u64,
@@ -57,6 +62,8 @@ impl SweepStats {
     fn absorb(&mut self, other: &SweepStats) {
         self.plan_hits += other.plan_hits;
         self.plan_misses += other.plan_misses;
+        self.region_builds += other.region_builds;
+        self.region_reuses += other.region_reuses;
         self.sample_hits += other.sample_hits;
         self.sample_misses += other.sample_misses;
         self.steals += other.steals;
@@ -297,16 +304,17 @@ fn run_unit(
         UnitKind::Configs { start, end } => {
             let _uspan = omptel::span(SpanKind::Unit, unit.batch as u64);
             omptel::flow_in(SpanKind::Unit, unit.flow);
-            // Raw-speed path: no flight recorder, no per-sample anomaly
-            // watchdog — lookups and batched pricing only. Per-sample
-            // spans/instants would all be no-ops here, the batched path
-            // prices bit-identically (property-tested), and under a
-            // telemetry session `price_batch` delegates to the sequential
-            // pricer so region records and counters come out the same —
-            // the two paths differ in speed alone. A progress meter rides
-            // along (its latency series turns unit-amortized); only the
-            // watchdog forces true per-sample timing.
-            if !omptel::tracing() && opts.watchdog.is_none() {
+            // Production path: lookups and batched pricing. It runs
+            // under the flight recorder too (unit and per-group `Price`
+            // spans), so traces describe the engine that runs untraced.
+            // The batched path prices bit-identically (property-tested),
+            // and under a telemetry session `price_batch` delegates to
+            // the sequential pricer so region records and counters come
+            // out the same — the two paths differ in speed alone. A
+            // progress meter rides along (its latency series turns
+            // unit-amortized); only the anomaly watchdog forces true
+            // per-sample timing, with per-sample spans.
+            if opts.watchdog.is_none() {
                 return run_unit_configs_batched(job, spec, opts, scratch, start, end);
             }
             let mut produced = Vec::with_capacity(end - start);
@@ -330,7 +338,7 @@ fn run_unit(
                             *config_index,
                             spec,
                             &job.noise,
-                            Some(&job.plans),
+                            &job.plans,
                         )
                     }
                 };
@@ -382,7 +390,7 @@ fn run_unit(
                         DEFAULT_ROW_INDEX,
                         spec,
                         &job.noise,
-                        Some(&job.plans),
+                        &job.plans,
                     )
                 }
             };
@@ -616,6 +624,9 @@ fn run_scheduler(jobs: Vec<BatchJob>, spec: &SweepSpec, opts: &SweepOptions) -> 
         let (h, m) = job.plans.stats();
         stats.plan_hits += h;
         stats.plan_misses += m;
+        let (b, r) = job.plans.region_stats();
+        stats.region_builds += b;
+        stats.region_reuses += r;
     }
     if let Some(c) = opts.cache {
         let (h, m) = c.stats();

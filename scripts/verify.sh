@@ -108,14 +108,16 @@ cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/monitored" \
     --monitor 127.0.0.1:0 2>/dev/null &
 collect_pid=$!
 addr=""
-for _ in $(seq 1 100); do
+# Poll finely: a tiny sweep finishes in well under a second, and every
+# route below must be scraped before the run shuts the monitor down.
+for _ in $(seq 1 1000); do
     if [ -s "$coherence_dir/monitored/monitor.addr" ]; then
         # First line is the address; later lines are sidecar context
         # (the registry directory), so no whole-file parse here.
         addr="$(head -n1 "$coherence_dir/monitored/monitor.addr" | tr -d '[:space:]')"
         break
     fi
-    sleep 0.1
+    sleep 0.01
 done
 [ -n "$addr" ] || { echo "verify: monitor.addr never appeared" >&2; exit 1; }
 metrics="$(http_get "$addr" /metrics)"
