@@ -7,6 +7,7 @@
 //! record is one JSON line (append-friendly, `grep`-able); the manifest
 //! is one pretty-printed JSON document per run.
 
+use crate::registry::fnv_bytes;
 use crate::runner::{noise_stream, RawSample, SampleTelemetry, SettingData};
 use crate::schedule::SweepStats;
 use crate::spec::SweepSpec;
@@ -18,20 +19,14 @@ use std::io::{self, Write};
 /// content hash usable as a join key across exports.
 pub fn config_hash(config: &TuningConfig) -> u64 {
     let text = serde_json::to_string(config).expect("config serializes");
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv_bytes(text.as_bytes())
 }
 
 /// FNV-1a over a configuration's fields directly — no serialization, so
 /// a fingerprint costs a handful of integer folds instead of a JSON
-/// encode. This is the hot-path content address the binary sample cache
-/// verifies on every warm lookup; [`config_hash`] remains the archival
-/// join key (the two are different hash domains and never compared to
-/// each other).
+/// encode. This is the content address the sample cache verifies on
+/// every warm lookup; [`config_hash`] is provenance's join key (the two
+/// are different hash domains and never compared to each other).
 pub fn config_fingerprint(config: &TuningConfig) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut fold = |v: u64| {
@@ -307,6 +302,17 @@ mod tests {
         // Stable across calls.
         let c = &batches[0].samples[0].config;
         assert_eq!(config_hash(c), config_hash(c));
+    }
+
+    /// Absolute values, not just self-consistency: `config_hash` is the
+    /// join key in every published `provenance.jsonl`, and
+    /// `config_fingerprint` is the verify word in every cached `.bin`
+    /// record. A change to either silently orphans existing artifacts.
+    #[test]
+    fn config_hashes_are_pinned_to_published_values() {
+        let config = TuningConfig::default_for(Arch::Skylake, 40);
+        assert_eq!(config_hash(&config), 2441291089384885973);
+        assert_eq!(config_fingerprint(&config), 10114052868775208140);
     }
 
     #[test]

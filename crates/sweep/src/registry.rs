@@ -77,8 +77,9 @@ const KIND_BENCH: u64 = 1;
 // hashing words instead of rendered text keeps content addressing off
 // the serialization hot path).
 
-/// FNV-1a over raw bytes (same constants as
-/// [`config_hash`](crate::config_hash)).
+/// FNV-1a over raw bytes: the one byte-wise FNV in `sweep`
+/// ([`config_hash`](crate::config_hash) and the sample cache's
+/// checksums hash through it).
 pub fn fnv_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -50,27 +50,30 @@ grep -q '"total_j"' "$coherence_dir/cold/provenance.jsonl" || {
 }
 echo "cold and warm provenance byte-identical (modeled joules included)"
 
-# Migration gate: a legacy JSONL-only cache upgraded in place by
-# cache-migrate must warm-answer byte-identically to the sweep-written
-# binary cache. Strip the hot .bin files (leaving the archival JSONL —
-# exactly what a pre-binary cache directory looks like), convert, then
+# Damaged-cache gate: a cache whose every batch header is vandalized
+# must degrade to whole-batch misses, recompute byte-identically, and
+# rewrite every batch whole. Overwrite the magic of each hot .bin, then
 # warm-sweep at a third worker count.
 echo
-echo "==> cache migration gate (JSONL-only -> cache-migrate -> warm sweep)"
-find "$coherence_dir/cache" -name '*.bin' -delete
-migrate_out="$(cargo run --release -p sweep --bin cache-migrate -- "$coherence_dir/cache")"
-echo "$migrate_out"
-grep -qE '^cache-migrate: [1-9][0-9]* file\(s\) converted' <<<"$migrate_out" || {
-    echo "verify: cache-migrate converted no files" >&2
-    exit 1
-}
-cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/migrated" \
+echo "==> damaged cache gate (vandalized headers -> recompute -> rewrite)"
+bins="$(find "$coherence_dir/cache" -name '*.bin')"
+[ -n "$bins" ] || { echo "verify: cold sweep wrote no .bin files" >&2; exit 1; }
+while read -r bin; do
+    printf 'XXXXXXXX' | dd of="$bin" bs=8 count=1 conv=notrunc status=none
+done <<<"$bins"
+cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/damaged" \
     --workers 1 --cache-dir "$coherence_dir/cache" 2>/dev/null
-cmp "$coherence_dir/cold/provenance.jsonl" "$coherence_dir/migrated/provenance.jsonl" || {
-    echo "verify: warm sweep over a migrated cache diverged from the cold sweep" >&2
+cmp "$coherence_dir/cold/provenance.jsonl" "$coherence_dir/damaged/provenance.jsonl" || {
+    echo "verify: warm sweep over a damaged cache diverged from the cold sweep" >&2
     exit 1
 }
-echo "migrated cache answers byte-identically (workers 4, 2, 1 all agree)"
+while read -r bin; do
+    [ "$(head -c 8 "$bin")" = "OMPSCB02" ] || {
+        echo "verify: damaged batch $bin was not rewritten" >&2
+        exit 1
+    }
+done <<<"$bins"
+echo "damaged cache recomputes byte-identically (workers 4, 2, 1 all agree)"
 
 # Trace validation: a live traced collect run must (a) leave the
 # provenance byte-identical to the untraced runs above, and (b) export a
