@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// File magic + format version.
@@ -122,13 +123,33 @@ impl RingFile {
 
     /// Append one point, overwriting the oldest once the ring is full.
     pub fn append(&mut self, p: Point) -> io::Result<()> {
-        let slot = self.head % self.capacity;
+        self.append_all(&[p])
+    }
+
+    /// Append points in order, overwriting the oldest once the ring is
+    /// full. The file ends up byte-identical to appending them one by
+    /// one, but only the newest `capacity` points are written: in at
+    /// most two contiguous positional writes, then the head word once.
+    pub fn append_all(&mut self, points: &[Point]) -> io::Result<()> {
+        if points.is_empty() {
+            return Ok(());
+        }
+        let skip = points.len().saturating_sub(self.capacity as usize);
+        let kept = &points[skip..];
+        let mut bytes = Vec::with_capacity(kept.len() * RECORD_BYTES as usize);
+        for p in kept {
+            bytes.extend_from_slice(&p.encode());
+        }
+        let slot = (self.head + skip as u64) % self.capacity;
+        let first_run = (kept.len() as u64).min(self.capacity - slot);
+        let (to_end, wrapped) = bytes.split_at((first_run * RECORD_BYTES) as usize);
         self.file
-            .seek(SeekFrom::Start(HEADER_BYTES + slot * RECORD_BYTES))?;
-        self.file.write_all(&p.encode())?;
-        self.head += 1;
-        self.file.seek(SeekFrom::Start(16))?;
-        self.file.write_all(&self.head.to_le_bytes())
+            .write_all_at(to_end, HEADER_BYTES + slot * RECORD_BYTES)?;
+        if !wrapped.is_empty() {
+            self.file.write_all_at(wrapped, HEADER_BYTES)?;
+        }
+        self.head += points.len() as u64;
+        self.file.write_all_at(&self.head.to_le_bytes(), 16)
     }
 
     /// Points ever appended.
@@ -245,12 +266,24 @@ impl Tsdb {
 
     /// Append one point to `series`, opening its ring file on first use.
     pub fn append(&mut self, series: &str, p: Point) -> io::Result<()> {
+        self.append_all(series, &[p])
+    }
+
+    /// Append points to `series` in order ([`RingFile::append_all`]),
+    /// opening its ring file on first use. No points, no file.
+    pub fn append_all(&mut self, series: &str, points: &[Point]) -> io::Result<()> {
+        if points.is_empty() {
+            return Ok(());
+        }
         if !self.files.contains_key(series) {
             let path = self.dir.join(format!("{}.{EXT}", series_file_stem(series)));
             self.files
                 .insert(series.to_string(), RingFile::open(&path, self.capacity)?);
         }
-        self.files.get_mut(series).expect("just inserted").append(p)
+        self.files
+            .get_mut(series)
+            .expect("just inserted")
+            .append_all(points)
     }
 
     /// Every series stored under `dir`, sorted by name.
@@ -328,6 +361,59 @@ mod tests {
         assert_eq!(points.len(), 8);
         assert_eq!(points[0].ts, 12, "oldest retained");
         assert_eq!(points[7].ts, 19, "newest retained");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One `append_all` leaves the file byte-identical to appending the
+    /// same points one at a time: short, exactly full and overfull
+    /// batches, into empty rings and into rings already holding points,
+    /// wrapped or not.
+    #[test]
+    fn append_all_matches_single_appends_byte_for_byte() {
+        let dir = tmp("append-all");
+        const CAP: u64 = 8;
+        let points = |from: u64, n: u64| -> Vec<Point> {
+            (from..from + n)
+                .map(|i| Point {
+                    ts: i,
+                    count: i % 3 + 1,
+                    sum: i as f64 * 0.5 - 1.0,
+                })
+                .collect()
+        };
+        // (points already in the ring, points appended at once)
+        for (held, n) in [
+            (0, 3),
+            (3, 0),
+            (0, CAP),
+            (0, 2 * CAP + 3),
+            (5, 2),
+            (5, 6),
+            (5, CAP),
+            (5, 3 * CAP + 1),
+            (13, 4),
+            (13, 11),
+        ] {
+            let single = dir.join(format!("single-{held}-{n}.omts"));
+            let batched = dir.join(format!("batched-{held}-{n}.omts"));
+            let mut a = RingFile::open(&single, CAP).unwrap();
+            let mut b = RingFile::open(&batched, CAP).unwrap();
+            for p in points(0, held) {
+                a.append(p).unwrap();
+                b.append(p).unwrap();
+            }
+            let fresh = points(held, n);
+            for &p in &fresh {
+                a.append(p).unwrap();
+            }
+            b.append_all(&fresh).unwrap();
+            assert_eq!(a.head(), b.head());
+            assert_eq!(
+                std::fs::read(&single).unwrap(),
+                std::fs::read(&batched).unwrap(),
+                "held {held}, appended {n}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,15 +33,12 @@
 
 use omptune_core::{Arch, LiveInfluence};
 use std::fs;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use sweep::registry::STRATA;
 use sweep::{Dataset, Roster, SampleCache, Scope, SweepOptions, SweepSpec};
-
-/// Config strata the drift sentinel tests independently; must match
-/// `ompmon::STRATA`.
-const STRATA: usize = 8;
 
 const HELP: &str = "\
 collect — run the paper's data-collection sweep and export its artifacts
@@ -763,7 +760,10 @@ fn main() -> std::io::Result<()> {
         // must agree exactly — those are ompmon's gating series. Wall
         // latency and scheduler rates legitimately vary and are
         // informational.
-        let mut stratum_seq = [0u64; STRATA];
+        // Each stratum series is gathered whole, then appended in one
+        // write per ring file.
+        let mut virt: [Vec<omptel::Point>; STRATA] = Default::default();
+        let mut energy: [Vec<omptel::Point>; STRATA] = Default::default();
         let mut arch_energy = ArchEnergy::default();
         for data in &arch_batches {
             for sample in &data.samples {
@@ -778,28 +778,29 @@ fn main() -> std::io::Result<()> {
                     continue;
                 }
                 let k = sample.config_index % STRATA;
-                let ts = stratum_seq[k];
-                stratum_seq[k] += 1;
-                let point = omptel::Point {
+                let ts = virt[k].len() as u64;
+                virt[k].push(omptel::Point {
                     ts,
                     count: finite.len() as u64,
                     sum: finite.iter().sum(),
-                };
-                tsdb.append(&format!("{}/virt/s{k}", arch.id()), point)?;
+                });
                 // Joules ride the same stratified, deterministic series
                 // layout as virtual time: one point per sample, same
                 // stratum sequence, so the drift sentinel gates energy
                 // exactly the way it gates time.
                 let joules = sample.telemetry.energy.total_j;
                 if joules.is_finite() && joules > 0.0 {
-                    let point = omptel::Point {
+                    energy[k].push(omptel::Point {
                         ts,
                         count: 1,
                         sum: joules,
-                    };
-                    tsdb.append(&format!("{}/energy/s{k}", arch.id()), point)?;
+                    });
                 }
             }
+        }
+        for (k, (virt, energy)) in virt.iter().zip(&energy).enumerate() {
+            tsdb.append_all(&format!("{}/virt/s{k}", arch.id()), virt)?;
+            tsdb.append_all(&format!("{}/energy/s{k}", arch.id()), energy)?;
         }
         // Arch-level energy aggregates: total joules and the EDP over
         // the cleaned samples, deterministic given the seed.
@@ -934,17 +935,19 @@ fn main() -> std::io::Result<()> {
     let csv_path = cli.out_dir.join("samples.csv");
     let mut csv = BufWriter::new(fs::File::create(&csv_path)?);
     sweep::export::write_csv(&dataset, &mut csv)?;
+    csv.flush()?;
     eprintln!("wrote {}", csv_path.display());
 
     let raw_path = cli.out_dir.join("raw_batches.json");
-    let mut raw = BufWriter::new(fs::File::create(&raw_path)?);
-    sweep::export::write_raw_json(&batches, &mut raw)?;
+    // The encoder buffers its own writes; a BufWriter would only copy.
+    sweep::export::write_raw_json(&batches, &mut fs::File::create(&raw_path)?)?;
     eprintln!("wrote {}", raw_path.display());
 
     let prov_path = cli.out_dir.join("provenance.jsonl");
     let provenance = sweep::provenance_of(&batches, &spec);
     let mut prov = BufWriter::new(fs::File::create(&prov_path)?);
     sweep::write_provenance_jsonl(&provenance, &mut prov)?;
+    prov.flush()?;
     eprintln!(
         "wrote {} ({} samples)",
         prov_path.display(),
@@ -954,6 +957,7 @@ fn main() -> std::io::Result<()> {
     let manifest_path = cli.out_dir.join("manifest.json");
     let mut mf = BufWriter::new(fs::File::create(&manifest_path)?);
     sweep::write_manifest(&manifest, &mut mf)?;
+    mf.flush()?;
     eprintln!("wrote {}", manifest_path.display());
 
     // Per-architecture Table II summary next to the data.

@@ -112,4 +112,60 @@ mod tests {
         let back = read_raw_json(&buf).unwrap();
         assert_eq!(back, batches);
     }
+
+    /// Byte identity of the JSON exports across commits: the digests of
+    /// `raw_batches.json` and `provenance.jsonl` over three real batches
+    /// (failed reps and default rows included) are pinned to the bytes
+    /// the published artifacts carry. An encoder change that moves a
+    /// single byte fails here, not in a downstream `cmp`.
+    #[test]
+    fn export_bytes_are_pinned() {
+        use crate::provenance::{provenance_of, write_provenance_jsonl};
+        use crate::registry::fnv_bytes;
+        use crate::spec::{Scope, SweepSpec};
+        let spec = SweepSpec {
+            scope: Scope::Strided(60),
+            reps: 3,
+            seed: 23,
+            failure_rate: 0.1,
+            ..SweepSpec::default()
+        };
+        let batches: Vec<SettingData> = [
+            (Arch::Skylake, "cg"),
+            (Arch::Milan, "alignment"),
+            (Arch::A64fx, "lulesh"),
+        ]
+        .into_iter()
+        .map(|(arch, name)| {
+            let (app, setting, idx) = crate::runner::work_list(arch, spec.roster)
+                .into_iter()
+                .find(|(app, _, _)| app.name == name)
+                .expect("app on arch");
+            crate::runner::sweep_setting(arch, app, setting, idx, &spec)
+        })
+        .collect();
+        let nan_reps: usize = batches
+            .iter()
+            .flat_map(|b| &b.samples)
+            .map(|s| s.runtimes.iter().filter(|r| r.is_nan()).count())
+            .sum();
+        assert!(nan_reps > 0, "failure injection never fired");
+
+        let mut raw = Vec::new();
+        write_raw_json(&batches, &mut raw).unwrap();
+        let mut prov = Vec::new();
+        write_provenance_jsonl(&provenance_of(&batches, &spec), &mut prov).unwrap();
+        for bytes in [&raw, &prov] {
+            let text = std::str::from_utf8(bytes).unwrap();
+            assert!(
+                text.contains(",null") || text.contains("[null"),
+                "NaN reps encode as null"
+            );
+        }
+        assert_eq!((raw.len(), fnv_bytes(&raw)), (269_997, 7650164723054355712));
+        assert_eq!(
+            (prov.len(), fnv_bytes(&prov)),
+            (255_459, 1013626324183646743)
+        );
+    }
 }

@@ -52,8 +52,8 @@ pub const SCHEMA: &str = "ompobs-run-v1";
 pub const SCHEMA_V2: &str = "ompobs-run-v2";
 
 /// Config strata the virtual-time series fold into
-/// (`config_index % STRATA`); must match `collect`'s tsdb writer and
-/// `ompmon::STRATA`.
+/// (`config_index % STRATA`), here and in `collect`'s tsdb writer; must
+/// match `ompmon::STRATA`.
 pub const STRATA: usize = 8;
 
 /// Per-stratum series tail retained in a record. The sentinel pairs

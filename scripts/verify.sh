@@ -17,6 +17,8 @@ step() {
 
 step cargo build --release --workspace
 step cargo test --workspace -q
+# The vendored serde shims are outside the workspace; run their own tests.
+step cargo test -q -p serde -p serde_json
 step cargo fmt --all --check
 step cargo clippy --workspace --all-targets -- -D warnings
 step cargo bench -p bench-harness --bench telemetry_overhead
